@@ -12,7 +12,8 @@
 //!   percentiles appended to `BENCH_trajectory.jsonl`.
 //! * [`run_replay`] — the deterministic trace-replay client: fires the
 //!   seeded arrival stream at the server over TCP, optionally paced at a
-//!   wall-clock speed multiple, and tallies the replies. Because every
+//!   wall-clock speed multiple, tallies the replies, and times every
+//!   round trip (p50/p99, req/s, elapsed). Because every
 //!   `SUBMIT` carries its own logical timestamp, pacing cannot change
 //!   the server's accounting — two replays of the same seed produce the
 //!   same digest no matter how fast the bytes arrived.
@@ -227,7 +228,9 @@ pub fn run_server(addr: &str, horizon_secs: f64, out_dir: &Path) -> io::Result<D
     Ok(out)
 }
 
-/// Client-side tallies from one replay run, one count per reply kind.
+/// Client-side tallies from one replay run, one count per reply kind,
+/// plus the client's view of the wire: every `SUBMIT` round trip is
+/// timed, next to the server's in-core decision latency.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ReplaySummary {
     /// `SUBMIT`s that received a reply.
@@ -245,19 +248,33 @@ pub struct ReplaySummary {
     /// The server hung up mid-stream (expected when it is SIGTERMed
     /// under the replay — the client stops cleanly instead of failing).
     pub server_closed_early: bool,
+    /// Median `SUBMIT` round trip (write to reply read), microseconds.
+    pub rtt_p50_us: f64,
+    /// 99th-percentile `SUBMIT` round trip, microseconds.
+    pub rtt_p99_us: f64,
+    /// Replied `SUBMIT`s per wall second over [`ReplaySummary::elapsed_ms`].
+    pub req_per_s: f64,
+    /// Wall time from the first `SUBMIT` to the `DRAIN` reply (or to the
+    /// server hanging up), milliseconds; includes pacing sleeps.
+    pub elapsed_ms: f64,
 }
 
 impl ReplaySummary {
     /// One-line human rendering.
     pub fn render(&self) -> String {
         format!(
-            "replay: sent={} accepted={} busy={} rejected={} draining={} errors={}{}",
+            "replay: sent={} accepted={} busy={} rejected={} draining={} errors={} \
+             rtt_p50_us={:.1} rtt_p99_us={:.1} req_per_s={:.0} elapsed_ms={:.1}{}",
             self.sent,
             self.accepted,
             self.busy,
             self.rejected,
             self.draining,
             self.errors,
+            self.rtt_p50_us,
+            self.rtt_p99_us,
+            self.req_per_s,
+            self.elapsed_ms,
             if self.server_closed_early {
                 " (server closed mid-stream)"
             } else {
@@ -267,8 +284,23 @@ impl ReplaySummary {
     }
 }
 
+/// Nearest-rank percentile of `samples` (`p ∈ [0, 1]`, rank
+/// `round(p·(n−1))`, the convention of
+/// [`DrainOutcome::latency_percentile_ns`]); 0 with no samples. Sorts
+/// `samples` in place.
+pub fn percentile_ns(samples: &mut [u64], p: f64) -> u64 {
+    if samples.is_empty() {
+        return 0;
+    }
+    samples.sort_unstable();
+    let last = samples.len() - 1;
+    let rank = (p.clamp(0.0, 1.0) * last as f64).round() as usize;
+    samples[rank.min(last)]
+}
+
 /// The deterministic trace-replay client: connects to a running server
-/// at `addr`, fires the seeded arrival stream, and tallies replies.
+/// at `addr`, fires the seeded arrival stream, tallies replies, and
+/// times every round trip.
 ///
 /// `speed == 0` submits as fast as the wire allows; `speed > 0` paces
 /// arrivals at that multiple of logical time (1.0 = wall-clock speed).
@@ -287,8 +319,10 @@ pub fn run_replay(
     let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut stream = stream;
-    let started = Instant::now();
     let mut summary = ReplaySummary::default();
+    let mut rtt_ns = Vec::with_capacity(arrivals.len());
+    let mut reply = String::new();
+    let started = Instant::now();
     for a in &arrivals {
         if speed > 0.0 {
             let due = Duration::from_secs_f64(a.t / speed);
@@ -298,11 +332,12 @@ pub fn run_replay(
             }
         }
         let line = format!("SUBMIT {} {} {}\n", a.t, a.demand, a.deadline_rel);
+        let sent = Instant::now();
         if stream.write_all(line.as_bytes()).is_err() {
             summary.server_closed_early = true;
             break;
         }
-        let mut reply = String::new();
+        reply.clear();
         match reader.read_line(&mut reply) {
             Ok(0) | Err(_) => {
                 summary.server_closed_early = true;
@@ -310,6 +345,7 @@ pub fn run_replay(
             }
             Ok(_) => {}
         }
+        rtt_ns.push(sent.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
         summary.sent += 1;
         match reply.split_whitespace().next().unwrap_or("") {
             "ACCEPTED" => summary.accepted += 1,
@@ -321,9 +357,16 @@ pub fn run_replay(
     }
     if !summary.server_closed_early {
         let _ = stream.write_all(b"DRAIN\n");
-        let mut reply = String::new();
+        reply.clear();
         let _ = reader.read_line(&mut reply);
     }
+    let elapsed_s = started.elapsed().as_secs_f64();
+    summary.elapsed_ms = elapsed_s * 1e3;
+    if elapsed_s > 0.0 {
+        summary.req_per_s = summary.sent as f64 / elapsed_s;
+    }
+    summary.rtt_p50_us = percentile_ns(&mut rtt_ns, 0.50) as f64 / 1e3;
+    summary.rtt_p99_us = percentile_ns(&mut rtt_ns, 0.99) as f64 / 1e3;
     Ok(summary)
 }
 
@@ -547,4 +590,46 @@ pub fn run_soak(
     let out = server.shutdown_and_drain();
     finish_session(&format!("soak-run{run_idx}"), &out, out_dir)?;
     Ok(out.digest)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn percentile_ns_is_nearest_rank_over_sorted_samples() {
+        assert_eq!(percentile_ns(&mut [], 0.5), 0);
+        assert_eq!(percentile_ns(&mut [7], 0.0), 7);
+        assert_eq!(percentile_ns(&mut [7], 0.99), 7);
+        // Unsorted input: 1..=101 shuffled, so rank round(p·100) is p·100+1.
+        let mut xs: Vec<u64> = (1..=101).map(|i| (i * 37) % 101 + 1).collect();
+        assert_eq!(percentile_ns(&mut xs, 0.0), 1);
+        assert_eq!(percentile_ns(&mut xs, 0.5), 51);
+        assert_eq!(percentile_ns(&mut xs, 0.99), 100);
+        assert_eq!(percentile_ns(&mut xs, 1.0), 101);
+        // Out-of-range p clamps to the extremes.
+        assert_eq!(percentile_ns(&mut xs, -1.0), 1);
+        assert_eq!(percentile_ns(&mut xs, 2.0), 101);
+        // Rank rounds to the nearer sample: 0.5·3 = 1.5 → rank 2.
+        assert_eq!(percentile_ns(&mut [40, 10, 30, 20], 0.5), 30);
+    }
+
+    #[test]
+    fn replay_summary_renders_counts_and_client_timing() {
+        let s = ReplaySummary {
+            sent: 3,
+            accepted: 2,
+            busy: 1,
+            rtt_p50_us: 41.26,
+            rtt_p99_us: 97.0,
+            req_per_s: 19_876.4,
+            elapsed_ms: 8.04,
+            ..ReplaySummary::default()
+        };
+        assert_eq!(
+            s.render(),
+            "replay: sent=3 accepted=2 busy=1 rejected=0 draining=0 errors=0 \
+             rtt_p50_us=41.3 rtt_p99_us=97.0 req_per_s=19876 elapsed_ms=8.0"
+        );
+    }
 }

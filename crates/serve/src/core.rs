@@ -29,7 +29,7 @@ use ge_core::{Algorithm, ShardEngine, SimConfig};
 use ge_recover::codec::fnv1a64;
 use ge_simcore::SimTime;
 use ge_telemetry::{Registry, Telemetry};
-use ge_trace::{RejectReason, TraceEvent, VecSink};
+use ge_trace::{RejectReason, TraceEvent, TraceSink};
 use ge_workload::{Job, JobId};
 use std::time::Instant;
 
@@ -293,6 +293,65 @@ fn tel() -> Option<&'static Registry> {
     Telemetry::is_enabled().then(Telemetry::registry)
 }
 
+/// Serve accounting: the counters, the serve-event trace, and every
+/// request's terminal state.
+///
+/// It is also the trace sink the engine advances into. Of the engine's
+/// events it folds only the request terminals (`JobFinish`, `JobShed`)
+/// as they are emitted and drops the rest (exec slices, triggers,
+/// plans), so an advance over a long idle stretch retains nothing.
+struct Books {
+    counts: Counts,
+    events: Vec<TraceEvent>,
+    terminals: Vec<(u64, Outcome, f64)>,
+}
+
+impl TraceSink for Books {
+    /// Folds one engine event into request terminals; every other event
+    /// kind is dropped.
+    fn record(&mut self, event: &TraceEvent) {
+        match *event {
+            TraceEvent::JobFinish {
+                t,
+                job,
+                processed,
+                full_demand,
+                discarded,
+            } => {
+                if discarded {
+                    self.counts.timed_out += 1;
+                    self.terminals.push((job, Outcome::TimedOut, 0.0));
+                    self.events.push(TraceEvent::ServeTimeout { t, req: job });
+                    if let Some(r) = tel() {
+                        r.counter("ge_serve_timeout_total").inc();
+                    }
+                } else {
+                    self.counts.completed += 1;
+                    self.terminals.push((job, Outcome::Completed, processed));
+                    self.events.push(TraceEvent::ServeComplete {
+                        t,
+                        req: job,
+                        processed,
+                        full_demand,
+                    });
+                    if let Some(r) = tel() {
+                        r.counter("ge_serve_completed_total").inc();
+                    }
+                }
+            }
+            TraceEvent::JobShed { t, job, .. } => {
+                self.counts.shed += 1;
+                self.terminals.push((job, Outcome::Shed, 0.0));
+                self.events.push(TraceEvent::ServeShed { t, req: job });
+                if let Some(r) = tel() {
+                    r.counter("ge_serve_shed_total").inc();
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
 /// The deterministic serving state machine over one [`ShardEngine`].
 pub struct ServeCore {
     cfg: ServeConfig,
@@ -301,9 +360,7 @@ pub struct ServeCore {
     draining: bool,
     next_req: u64,
     last_t: f64,
-    counts: Counts,
-    events: Vec<TraceEvent>,
-    terminals: Vec<(u64, Outcome, f64)>,
+    books: Books,
     latency_ns: Vec<u64>,
     latency_dropped: u64,
 }
@@ -333,9 +390,11 @@ impl ServeCore {
             draining: false,
             next_req: 0,
             last_t: 0.0,
-            counts: Counts::default(),
-            events,
-            terminals: Vec::new(),
+            books: Books {
+                counts: Counts::default(),
+                events,
+                terminals: Vec::new(),
+            },
             latency_ns: Vec::new(),
             latency_dropped: 0,
         }
@@ -347,65 +406,19 @@ impl ServeCore {
     /// logical time advances past the arrivals), so a burst at one
     /// instant trips the watermark immediately.
     fn in_flight(&self) -> u64 {
-        self.counts.admitted - self.counts.completed - self.counts.timed_out - self.counts.shed
+        let c = &self.books.counts;
+        c.admitted - c.completed - c.timed_out - c.shed
     }
 
-    /// Advances the engine to logical time `t` and folds the engine
-    /// events it produced (finishes, expiries, sheds) into serve
+    /// Advances the engine to logical time `t`, folding the request
+    /// terminals it produced (finishes, expiries, sheds) into serve
     /// accounting.
     fn advance(&mut self, t: f64) {
         let until = SimTime::from_secs(t);
         if !until.after(self.shard.now()) {
             return;
         }
-        let mut sink = VecSink::new();
-        self.shard.advance_to_with(until, &mut sink);
-        self.absorb(sink.into_events());
-    }
-
-    /// Folds raw engine events into request terminals.
-    fn absorb(&mut self, engine_events: Vec<TraceEvent>) {
-        for ev in engine_events {
-            match ev {
-                TraceEvent::JobFinish {
-                    t,
-                    job,
-                    processed,
-                    full_demand,
-                    discarded,
-                } => {
-                    if discarded {
-                        self.counts.timed_out += 1;
-                        self.terminals.push((job, Outcome::TimedOut, 0.0));
-                        self.events.push(TraceEvent::ServeTimeout { t, req: job });
-                        if let Some(r) = tel() {
-                            r.counter("ge_serve_timeout_total").inc();
-                        }
-                    } else {
-                        self.counts.completed += 1;
-                        self.terminals.push((job, Outcome::Completed, processed));
-                        self.events.push(TraceEvent::ServeComplete {
-                            t,
-                            req: job,
-                            processed,
-                            full_demand,
-                        });
-                        if let Some(r) = tel() {
-                            r.counter("ge_serve_completed_total").inc();
-                        }
-                    }
-                }
-                TraceEvent::JobShed { t, job, .. } => {
-                    self.counts.shed += 1;
-                    self.terminals.push((job, Outcome::Shed, 0.0));
-                    self.events.push(TraceEvent::ServeShed { t, req: job });
-                    if let Some(r) = tel() {
-                        r.counter("ge_serve_shed_total").inc();
-                    }
-                }
-                _ => {}
-            }
-        }
+        self.shard.advance_to_with(until, &mut self.books);
     }
 
     fn check_time(&self, t: f64) -> Result<(), SubmitError> {
@@ -448,8 +461,8 @@ impl ServeCore {
         self.last_t = t;
         let req = self.next_req;
         self.next_req += 1;
-        self.counts.requests += 1;
-        self.events.push(TraceEvent::ServeRequest {
+        self.books.counts.requests += 1;
+        self.books.events.push(TraceEvent::ServeRequest {
             t,
             req,
             demand,
@@ -469,9 +482,9 @@ impl ServeCore {
                     demand,
                 );
                 self.shard.inject_job(job, SimTime::from_secs(t));
-                self.counts.admitted += 1;
+                self.books.counts.admitted += 1;
                 let queue_len = self.in_flight() as usize;
-                self.events.push(TraceEvent::ServeAdmit {
+                self.books.events.push(TraceEvent::ServeAdmit {
                     t,
                     req,
                     queue_len: queue_len as u64,
@@ -480,9 +493,9 @@ impl ServeCore {
             }
             AdmissionDecision::Reject(reason) => {
                 let queue_len = self.in_flight() as usize;
-                self.counts.rejected += 1;
-                self.terminals.push((req, Outcome::Rejected, 0.0));
-                self.events.push(TraceEvent::ServeReject {
+                self.books.counts.rejected += 1;
+                self.books.terminals.push((req, Outcome::Rejected, 0.0));
+                self.books.events.push(TraceEvent::ServeReject {
                     t,
                     req,
                     reason,
@@ -531,12 +544,12 @@ impl ServeCore {
     pub fn stats(&self) -> ServeStats {
         ServeStats {
             now_s: self.shard.now().as_secs(),
-            requests: self.counts.requests,
-            admitted: self.counts.admitted,
-            completed: self.counts.completed,
-            rejected: self.counts.rejected,
-            timed_out: self.counts.timed_out,
-            shed: self.counts.shed,
+            requests: self.books.counts.requests,
+            admitted: self.books.counts.admitted,
+            completed: self.books.counts.completed,
+            rejected: self.books.counts.rejected,
+            timed_out: self.books.counts.timed_out,
+            shed: self.books.counts.shed,
             queue_len: self.in_flight() as usize,
             quality: self.shard.ledger_quality(),
             draining: self.draining,
@@ -545,7 +558,7 @@ impl ServeCore {
 
     /// The serve-event trace so far.
     pub fn events(&self) -> &[TraceEvent] {
-        &self.events
+        &self.books.events
     }
 
     /// The admission controller's hysteresis state.
@@ -566,7 +579,7 @@ impl ServeCore {
         }
         self.draining = true;
         let pending = self.in_flight();
-        self.events.push(TraceEvent::ServeDrain {
+        self.books.events.push(TraceEvent::ServeDrain {
             t: self.last_t.max(self.shard.now().as_secs()),
             pending,
         });
@@ -579,9 +592,7 @@ impl ServeCore {
     pub fn finish_drain(mut self) -> DrainOutcome {
         self.begin_drain();
         let horizon = self.shard.horizon();
-        let mut sink = VecSink::new();
-        self.shard.advance_to_with(horizon, &mut sink);
-        self.absorb(sink.into_events());
+        self.shard.advance_to_with(horizon, &mut self.books);
         let checkpoint = self.shard.snapshot();
         let resume_bit_exact =
             match ShardEngine::restore(&self.cfg.sim, &self.cfg.algorithm, None, &checkpoint) {
@@ -590,49 +601,19 @@ impl ServeCore {
             };
         let ServeCore {
             shard,
-            mut counts,
-            mut events,
-            mut terminals,
+            mut books,
             latency_ns,
             latency_dropped,
             ..
         } = self;
-        // Close the books; fold any closing events (leftover discards)
-        // the same way advance() does.
-        let mut close_sink = VecSink::new();
-        let outcome = shard.finalize_with(&mut close_sink);
-        for ev in close_sink.into_events() {
-            match ev {
-                TraceEvent::JobFinish {
-                    t,
-                    job,
-                    processed,
-                    full_demand,
-                    discarded,
-                } => {
-                    if discarded {
-                        counts.timed_out += 1;
-                        terminals.push((job, Outcome::TimedOut, 0.0));
-                        events.push(TraceEvent::ServeTimeout { t, req: job });
-                    } else {
-                        counts.completed += 1;
-                        terminals.push((job, Outcome::Completed, processed));
-                        events.push(TraceEvent::ServeComplete {
-                            t,
-                            req: job,
-                            processed,
-                            full_demand,
-                        });
-                    }
-                }
-                TraceEvent::JobShed { t, job, .. } => {
-                    counts.shed += 1;
-                    terminals.push((job, Outcome::Shed, 0.0));
-                    events.push(TraceEvent::ServeShed { t, req: job });
-                }
-                _ => {}
-            }
-        }
+        // Close the books; closing events (leftover discards) fold the
+        // same way every advance does.
+        let outcome = shard.finalize_with(&mut books);
+        let Books {
+            counts,
+            mut events,
+            mut terminals,
+        } = books;
         events.push(TraceEvent::ServeSummary {
             t: horizon.as_secs(),
             requests: counts.requests,

@@ -18,7 +18,13 @@
 //!   behind one mutex; replies are rendered under the lock but written
 //!   after it is released, so a slow reader cannot stall admission. The
 //!   lock is poison-tolerant: a worker that panicked while holding it
-//!   does not wedge the server.
+//!   does not wedge the server,
+//! * **one write per reply** — every reply (a rendered line, `ERR
+//!   <kind>`, the line-too-long answer, `PANICKING`) is rendered with its
+//!   `\n` into a per-connection buffer and sent in a single write, and
+//!   accepted sockets set `TCP_NODELAY`. A reply split across two small
+//!   writes would hold its second part under Nagle's algorithm until the
+//!   client's delayed ACK, about 40 ms per round trip.
 //!
 //! Shutdown is [`ServeServer::shutdown_and_drain`]: stop accepting,
 //! unblock and join every thread, then run the core's graceful drain
@@ -347,10 +353,35 @@ enum ReplyAction {
     Panic,
 }
 
+/// A connection's write half and its reusable reply buffer: every reply
+/// goes out as one write of the whole `\n`-terminated line (the module
+/// docs say why a split write stalls).
+struct ReplyWriter {
+    stream: TcpStream,
+    line: String,
+}
+
+impl ReplyWriter {
+    /// Sends the concatenation of `parts` plus the line terminator in a
+    /// single write.
+    fn send(&mut self, parts: &[&str]) -> io::Result<()> {
+        self.line.clear();
+        for part in parts {
+            self.line.push_str(part);
+        }
+        self.line.push('\n');
+        self.stream.write_all(self.line.as_bytes())
+    }
+}
+
 fn handle_connection(stream: TcpStream, shared: &Shared, limits: ConnLimits) -> io::Result<()> {
     stream.set_read_timeout(Some(limits.read_timeout))?;
     stream.set_write_timeout(Some(limits.write_timeout))?;
-    let mut writer = stream.try_clone()?;
+    stream.set_nodelay(true)?;
+    let mut writer = ReplyWriter {
+        stream: stream.try_clone()?,
+        line: String::new(),
+    };
     let mut reader = LineReader::new(stream, limits.max_line);
     let mut conn_errors: u32 = 0;
     loop {
@@ -365,7 +396,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared, limits: ConnLimits) -> 
                 // error, then disconnect.
                 note_protocol_error(shared);
                 let err = ProtocolError::LineTooLong { limit };
-                let _ = writer.write_all(format!("ERR {}\n", err.kind()).as_bytes());
+                let _ = writer.send(&["ERR ", err.kind()]);
                 discard_remaining(reader.get_mut());
                 return Ok(());
             }
@@ -386,20 +417,17 @@ fn handle_connection(stream: TcpStream, shared: &Shared, limits: ConnLimits) -> 
             Err(e) => ReplyAction::Error(e.kind().to_string()),
         };
         match action {
-            ReplyAction::Line(reply) => {
-                writer.write_all(reply.as_bytes())?;
-                writer.write_all(b"\n")?;
-            }
+            ReplyAction::Line(reply) => writer.send(&[&reply])?,
             ReplyAction::Error(kind) => {
                 note_protocol_error(shared);
                 conn_errors += 1;
-                writer.write_all(format!("ERR {kind}\n").as_bytes())?;
+                writer.send(&["ERR ", &kind])?;
                 if conn_errors > limits.max_protocol_errors {
                     return Ok(());
                 }
             }
             ReplyAction::Panic => {
-                let _ = writer.write_all(b"PANICKING\n");
+                let _ = writer.send(&["PANICKING"]);
                 panic!("test-induced worker panic (PANIC command)");
             }
         }
@@ -591,6 +619,105 @@ mod tests {
         assert_eq!(out.requests, 11);
         assert!(out.is_consistent(), "{out:?}");
         assert!(out.resume_bit_exact);
+    }
+
+    #[test]
+    fn two_hundred_submits_on_one_connection_take_well_under_two_seconds() {
+        // A reply split over two writes stalls each round trip ~40 ms on
+        // Nagle's algorithm and delayed ACK: 200 submits took ~8.8 s.
+        let server = ServeServer::bind(test_cfg(), "127.0.0.1:0").unwrap();
+        let mut c = Client::connect(server.local_addr());
+        let started = Instant::now();
+        for i in 0..200 {
+            let t = 0.1 * f64::from(i);
+            let r = c.send(&format!("SUBMIT {t} 300 1.0"));
+            assert!(r.starts_with("ACCEPTED") || r.starts_with("BUSY"), "{r}");
+        }
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(2),
+            "200 round trips took {elapsed:?}"
+        );
+        let out = server.shutdown_and_drain();
+        assert_eq!(out.requests, 200);
+        assert!(out.is_consistent());
+    }
+
+    /// Sends `line` in one write and returns what the first read of the
+    /// reply yields.
+    fn first_read(stream: &mut TcpStream, line: &str) -> String {
+        use std::io::Read;
+        stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut buf = [0u8; 512];
+        let n = stream.read(&mut buf).unwrap();
+        String::from_utf8_lossy(&buf[..n]).into_owned()
+    }
+
+    fn raw_connect(addr: SocketAddr) -> TcpStream {
+        let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5)).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        stream
+    }
+
+    #[test]
+    fn every_reply_arrives_whole_in_one_read_with_unchanged_bytes() {
+        // Each reply must reach the client as exactly one `\n`-terminated
+        // line in a single segment: a split write would hand the first
+        // read the body without its newline. The expected bytes are the
+        // protocol's replies for this script, pinned byte for byte.
+        let server = ServeServer::bind(test_cfg(), "127.0.0.1:0").unwrap();
+        let mut s = raw_connect(server.local_addr());
+        let mut script: Vec<(String, String)> = vec![
+            ("PING".into(), "PONG\n".into()),
+            ("SUBMIT 0.5 300 1.0".into(), "ACCEPTED 0 1\n".into()),
+        ];
+        // A burst at one instant trips the high watermark (8 in flight).
+        for req in 1..8 {
+            let qlen = req + 1;
+            script.push((
+                "SUBMIT 0.5 900 2.0".into(),
+                format!("ACCEPTED {req} {qlen}\n"),
+            ));
+        }
+        script.extend(
+            [
+                ("SUBMIT 0.5 900 2.0", "BUSY 8\n"),
+                ("TICK 0.75", "OK 0.75\n"),
+                (
+                    "STATS",
+                    "STATS t=0.750000 requests=9 admitted=8 completed=0 rejected=1 \
+                     timed_out=0 shed=0 queue=8 quality=1.000000 draining=0\n",
+                ),
+                ("SUBMIT 0.1 300 1.0", "ERR time-regression\n"),
+                ("SUBMIT 0.8 300 1e9", "ERR beyond-horizon\n"),
+                ("GARBAGE", "ERR unknown-command\n"),
+                ("PANIC", "ERR refused\n"),
+                ("TICK 3", "OK 3\n"),
+                (
+                    "STATS",
+                    "STATS t=3.000000 requests=9 admitted=8 completed=8 rejected=1 \
+                     timed_out=0 shed=0 queue=0 quality=0.908331 draining=0\n",
+                ),
+                ("DRAIN", "DRAINING\n"),
+                ("SUBMIT 3.5 300 1.0", "DRAINING\n"),
+            ]
+            .map(|(cmd, reply)| (cmd.to_string(), reply.to_string())),
+        );
+        for (cmd, want) in &script {
+            assert_eq!(&first_read(&mut s, cmd), want, "reply to {cmd:?}");
+        }
+        drop(s);
+
+        let mut cfg = test_cfg();
+        cfg.max_line = 128;
+        cfg.enable_test_panic = true;
+        let server = ServeServer::bind(cfg, "127.0.0.1:0").unwrap();
+        let mut s = raw_connect(server.local_addr());
+        assert_eq!(first_read(&mut s, &"X".repeat(4096)), "ERR line-too-long\n");
+        let mut s = raw_connect(server.local_addr());
+        assert_eq!(first_read(&mut s, "PANIC"), "PANICKING\n");
     }
 
     #[test]

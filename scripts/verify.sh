@@ -140,6 +140,18 @@ if [ "$d_serve_a" != "$d_serve_b" ]; then
   echo "FAIL: serve digest $d_serve_a != repeat-run digest $d_serve_b"
   exit 1
 fi
+# Wall-clock bound on the unpaced 120-request replays: a round trip that
+# stalls on the wire (a reply split over two writes waits ~40 ms on
+# Nagle's algorithm and delayed ACK, ~5 s in all) fails here, even
+# though every count and digest above would still pass.
+for run in a b; do
+  elapsed=$(sed -n 's/.* elapsed_ms=\([0-9.]*\).*/\1/p' "$smoke_dir/replay-$run.log")
+  test -n "$elapsed"
+  if ! awk -v e="$elapsed" 'BEGIN { exit !(e <= 2000) }'; then
+    echo "FAIL: 120-request replay took ${elapsed} ms (bound 2000 ms)"
+    exit 1
+  fi
+done
 # The replay client's decision-latency percentiles land in the trajectory.
 grep -q 'serve_decision/p999' "$smoke_dir/serve-a/BENCH_trajectory.jsonl"
 # SIGTERM mid-stream under a paced replay: graceful drain, full books.

@@ -34,13 +34,15 @@ impl Client {
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
             .expect("read timeout");
+        stream.set_nodelay(true).expect("nodelay");
         let reader = BufReader::new(stream.try_clone().expect("clone"));
         Client { stream, reader }
     }
 
     fn send(&mut self, line: &str) -> String {
-        self.stream.write_all(line.as_bytes()).expect("write");
-        self.stream.write_all(b"\n").expect("write newline");
+        self.stream
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("write");
         let mut reply = String::new();
         self.reader.read_line(&mut reply).expect("reply");
         reply.trim_end().to_string()
